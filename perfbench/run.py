@@ -426,13 +426,15 @@ def traced(harness, workload, seed, seconds):
 
 
 def source_id():
-    try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                             text=True, timeout=10)
-        if out.returncode == 0:
-            return "git:" + out.stdout.strip()
-    except OSError:
-        pass
+    """The git revision, or a digest of the sources outside a git checkout."""
+    if os.path.isdir(os.path.join(ROOT, ".git")):
+        try:
+            out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                                 capture_output=True, text=True, timeout=10)
+            if out.returncode == 0:
+                return "git:" + out.stdout.strip()
+        except OSError:
+            pass
     h = hashlib.sha256()
     for top in ("Cargo.toml", "Cargo.lock", "src", "crates", "vendor"):
         p = os.path.join(ROOT, top)
