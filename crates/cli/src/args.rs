@@ -7,6 +7,7 @@ use risa_workload::AzureSubset;
 /// Top-level usage text.
 pub const USAGE: &str = "\
 usage: risa-cli <command> [options]
+       risa-cli [<command>] --help | -h     print this text
 
 commands:
   info                       print the paper's configuration tables and host info
@@ -88,6 +89,8 @@ only wall-clock timings (bench's ops/s, fig11/fig12 times) vary.
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
+    /// `--help` / `-h`, alone or after a command: print [`USAGE`].
+    Help,
     /// `info`
     Info,
     /// `run`
@@ -288,6 +291,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let Some(cmd) = argv.first() else {
         return Err("missing command".into());
     };
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(Command::Help);
+    }
     let rest = &argv[1..];
     match cmd.as_str() {
         "info" => {
@@ -460,6 +466,26 @@ mod tests {
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn help_parses_at_top_level_and_after_a_command() {
+        for argv in [
+            &["--help"][..],
+            &["-h"],
+            &["run", "--help"],
+            &["run", "--algo", "NULB", "-h"],
+            &["experiment", "--help"],
+            &["bench", "-h"],
+            &["lint", "--json", "--help"],
+        ] {
+            assert_eq!(parse(&v(argv)).unwrap(), Command::Help, "{argv:?}");
+        }
+        assert!(
+            parse(&v(&[])).is_err(),
+            "no arguments is still a usage error"
+        );
+        assert!(USAGE.contains("--help"));
     }
 
     #[test]

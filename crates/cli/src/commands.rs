@@ -25,6 +25,10 @@ use risa_workload::{SyntheticConfig, Workload};
 /// Execute a parsed command.
 pub fn execute(cmd: Command) -> Result<(), String> {
     match cmd {
+        Command::Help => {
+            println!("{}", crate::args::USAGE);
+            Ok(())
+        }
         Command::Info => info(),
         Command::Run {
             algo,
@@ -456,7 +460,9 @@ fn experiment(id: &str, seed: Option<u64>) -> Result<(), String> {
 fn generate(workload: WorkloadArg, seed: u64, out: Option<String>) -> Result<(), String> {
     // Generation is sharded over the pool (risa_workload::shard); the
     // trace is byte-identical at any --jobs value.
-    let w = spec_of(workload, seed).materialize();
+    let w = spec_of(workload, seed)
+        .try_materialize()
+        .map_err(|e| e.to_string())?;
     let json = w.to_json();
     match out {
         None => {

@@ -1,6 +1,7 @@
 //! `risa-cli` — drive the RISA reproduction from the command line.
 //!
 //! ```text
+//! risa-cli --help                                 # usage (also `run --help`)
 //! risa-cli info                                   # Tables 1/2 + host
 //! risa-cli run --algo RISA --workload azure-3000  # one simulation
 //! risa-cli experiment fig5 [--seed 42]            # regenerate a figure

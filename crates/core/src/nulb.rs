@@ -61,7 +61,7 @@ impl NulbParams {
 
 /// The `SUPER_RACK` of Algorithm 1: per resource kind, the racks holding at
 /// least one box that can satisfy the VM's demand of that kind.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SuperRack {
     racks: [Vec<RackId>; 3],
     member: [Vec<bool>; 3],
@@ -75,26 +75,32 @@ impl SuperRack {
     /// Build the three rack lists for `demand` from the cached per-rack
     /// maxima (O(racks)).
     pub fn build(cluster: &Cluster, demand: &UnitDemand) -> Self {
+        let mut sr = SuperRack::default();
+        sr.rebuild(cluster, demand);
+        sr
+    }
+
+    /// Refill the rack lists for `demand` in place, reusing the buffers:
+    /// equal to a fresh [`SuperRack::build`], but allocation-free once the
+    /// buffers have grown to the cluster's rack count. O(racks).
+    pub fn rebuild(&mut self, cluster: &Cluster, demand: &UnitDemand) {
         let n = cluster.num_racks() as usize;
-        let mut racks: [Vec<RackId>; 3] = Default::default();
-        let mut member: [Vec<bool>; 3] = [vec![false; n], vec![false; n], vec![false; n]];
-        let mut prefix: [Vec<u32>; 3] = [vec![0; n + 1], vec![0; n + 1], vec![0; n + 1]];
+        for k in 0..3 {
+            self.racks[k].clear();
+            self.member[k].resize(n, false);
+            self.prefix[k].resize(n + 1, 0);
+        }
         for r in 0..cluster.num_racks() {
             let rack = RackId(r);
             for kind in ALL_RESOURCES {
                 let k = kind.index();
                 let fits = cluster.rack_admits(rack, kind, demand.get(kind));
                 if fits {
-                    racks[k].push(rack);
-                    member[k][r as usize] = true;
+                    self.racks[k].push(rack);
                 }
-                prefix[k][r as usize + 1] = prefix[k][r as usize] + u32::from(fits);
+                self.member[k][r as usize] = fits;
+                self.prefix[k][r as usize + 1] = self.prefix[k][r as usize] + u32::from(fits);
             }
-        }
-        SuperRack {
-            racks,
-            member,
-            prefix,
         }
     }
 
@@ -121,12 +127,14 @@ impl SuperRack {
     }
 }
 
-/// Reusable buffers for the per-rack sorts NALB still performs; owned by
-/// the `Scheduler` so the hot path allocates nothing per VM.
+/// Reusable buffers owned by the `Scheduler` so the hot path allocates
+/// nothing per VM.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
     /// NALB's within-rack box ordering buffer.
     boxes: Vec<BoxId>,
+    /// RISA's fallback SUPER_RACK, rebuilt in place per fallback.
+    pub(crate) super_rack: SuperRack,
 }
 
 /// Number of member racks (per the optional restriction) in `[lo, hi)`,
@@ -590,6 +598,30 @@ mod tests {
         // An impossible demand empties a list.
         let sr = SuperRack::build(&c, &UnitDemand::new(999, 1, 1));
         assert!(sr.infeasible());
+    }
+
+    /// Rebuilding a used SUPER_RACK for another demand, or on another
+    /// cluster size, equals building it fresh.
+    #[test]
+    fn rebuild_matches_fresh_build() {
+        let c = toy::table3_cluster();
+        let typical = toy::typical_vm_demand(&c);
+        let mut sr = SuperRack::build(&c, &typical);
+        for d in [
+            UnitDemand::new(2, 8, 2),
+            UnitDemand::new(999, 1, 1),
+            UnitDemand::ZERO,
+            typical,
+        ] {
+            sr.rebuild(&c, &d);
+            assert_eq!(sr, SuperRack::build(&c, &d));
+        }
+        let mut big = Cluster::new(TopologyConfig::paper());
+        big.force_available(BoxId(0), 0);
+        sr.rebuild(&big, &typical);
+        assert_eq!(sr, SuperRack::build(&big, &typical));
+        sr.rebuild(&c, &typical);
+        assert_eq!(sr, SuperRack::build(&c, &typical));
     }
 
     #[test]

@@ -13,11 +13,17 @@
 //!      that reproduces the paper's Table 4 trace exactly);
 //!    * **RISA-BF** picks the *best-fit* box — the fullest box that still
 //!      fits, reducing stranding (§4.2, Algorithm 3).
-//! 3. If the pool is empty or no pool rack can carry the flows, build the
-//!    `SUPER_RACK` and fall back to NULB restricted to it.
+//! 3. If the pool is empty or no pool rack can carry the flows, fall back.
+//!    First an O(1) exit: when some resource kind has no live box able to
+//!    grant the demand anywhere in the cluster (read from the placement
+//!    index's segment-tree root), that kind's `SUPER_RACK` list would be
+//!    empty, so the VM drops in the compute phase without building it.
+//!    Otherwise rebuild the `SUPER_RACK` in the scheduler's reusable
+//!    buffers and run NULB restricted to it. Both paths charge
+//!    [`WorkCounters`] the O(racks) build the paper's cost model counts.
 
 use crate::algorithm::{DropReason, VmAssignment};
-use crate::nulb::{nulb_schedule, NulbParams, Scratch, SuperRack};
+use crate::nulb::{nulb_schedule, NulbParams, Scratch};
 use crate::work::WorkCounters;
 use risa_network::{FlowDemands, LinkPolicy, NetworkState};
 use risa_topology::{
@@ -191,13 +197,22 @@ impl RisaState {
                 }
             }
         }
-        // Fallback: SUPER_RACK + NULB (Alg. 1's else branch).
+        // Fallback: SUPER_RACK + NULB (Alg. 1's else branch). The counter
+        // charges the O(racks) SUPER_RACK build even when the exit below
+        // skips it.
         work.racks_scanned += cluster.num_racks() as u64;
-        let sr = SuperRack::build(cluster, demand);
-        if sr.infeasible() {
+        // A kind no live box can serve anywhere leaves its SUPER_RACK
+        // list empty; the segment-tree root answers that in O(1).
+        if !ALL_RESOURCES
+            .iter()
+            .all(|&k| cluster.admits_anywhere(k, demand.get(k)))
+        {
             return Err(DropReason::Compute);
         }
-        nulb_schedule(
+        let mut sr = std::mem::take(&mut scratch.super_rack);
+        sr.rebuild(cluster, demand);
+        debug_assert!(!sr.infeasible(), "admits_anywhere agrees with SUPER_RACK");
+        let result = nulb_schedule(
             cluster,
             net,
             demand,
@@ -206,8 +221,9 @@ impl RisaState {
             NulbParams::nulb(),
             work,
             scratch,
-        )
-        .map(|mut a| {
+        );
+        scratch.super_rack = sr;
+        result.map(|mut a| {
             a.used_fallback = true;
             a
         })
@@ -218,6 +234,7 @@ impl RisaState {
 mod tests {
     use super::*;
     use crate::toy;
+    use crate::{Algorithm, ScheduleOutcome, Scheduler};
     use risa_network::NetworkConfig;
     use risa_topology::TopologyConfig;
 
@@ -475,6 +492,42 @@ mod tests {
             .unwrap();
         assert!(a.used_fallback);
         assert!(!a.intra_rack, "CPU in rack 1, storage only in rack 0");
+    }
+
+    /// A demand no live box can serve anywhere takes the O(1) exit: it
+    /// drops with `Compute`, is charged exactly the pool scan plus the
+    /// SUPER_RACK build it skipped, and touches no state.
+    #[test]
+    fn globally_infeasible_demand_drops_in_constant_time() {
+        let mut c = Cluster::new(TopologyConfig::paper());
+        let mut n = net_for(&c);
+        let mut s = Scheduler::new(Algorithm::Risa, &c);
+        let snapshot = |c: &Cluster, n: &NetworkState| {
+            (
+                serde_json::to_string(c).unwrap(),
+                serde_json::to_string(n).unwrap(),
+            )
+        };
+        let before = snapshot(&c, &n);
+        let racks = c.num_racks() as u64;
+        for d in [
+            UnitDemand::new(2, 4, 9_999),
+            UnitDemand::new(9_999, 0, 0),
+            UnitDemand::new(0, 9_999, 1),
+        ] {
+            s.reset_work();
+            let out = s.schedule(&mut c, &mut n, &d);
+            assert_eq!(out, ScheduleOutcome::Dropped(DropReason::Compute));
+            assert_eq!(
+                *s.work(),
+                WorkCounters {
+                    calls: 1,
+                    racks_scanned: 2 * racks,
+                    ..WorkCounters::new()
+                }
+            );
+            assert_eq!(snapshot(&c, &n), before, "a drop touches no state");
+        }
     }
 
     /// Network-saturated pool racks are skipped; the next pool rack wins.

@@ -16,8 +16,8 @@ pub struct Scheduler {
     algo: Algorithm,
     risa: RisaState,
     work: WorkCounters,
-    /// Reusable sort buffers (NALB's within-rack ordering); scratch state,
-    /// excluded from serialization.
+    /// Reusable buffers (NALB's within-rack ordering, RISA's fallback
+    /// SUPER_RACK); scratch state, excluded from serialization.
     #[serde(skip)]
     scratch: Scratch,
 }

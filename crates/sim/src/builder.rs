@@ -4,7 +4,7 @@ use crate::config::{LatencyConfig, SimConfig};
 use crate::faults::FaultSpec;
 use crate::parallel::ExecMode;
 use crate::report::RunReport;
-use crate::spec::WorkloadSpec;
+use crate::spec::{SpecError, WorkloadSpec};
 use crate::streaming::{ArrivalMode, StreamingArrivals};
 use crate::world::{DdcWorld, DEFAULT_SCHED_TIMING_BATCH};
 use risa_des::{EventQueue, EventTrace, FelKind, SimTime, Simulation};
@@ -39,6 +39,8 @@ pub enum BuildError {
         /// Workload name.
         workload: String,
     },
+    /// The workload's CSV trace file is missing, unreadable or invalid.
+    Workload(SpecError),
 }
 
 impl std::fmt::Display for BuildError {
@@ -54,6 +56,7 @@ impl std::fmt::Display for BuildError {
                 "VM vm{id} in workload '{workload}' exceeds single-box capacity \
                  (paper §2 assumption)"
             ),
+            BuildError::Workload(e) => write!(f, "{e}"),
         }
     }
 }
@@ -341,7 +344,7 @@ impl SimulationBuilder {
         // shard-sized chunks); only the legacy push-everything oracle
         // path forces materialization.
         let streaming_source = if mode == ArrivalMode::Streaming && !self.legacy_arrival_path {
-            self.workload.shard_source()
+            Some(self.workload.shard_source().map_err(BuildError::Workload)?)
         } else {
             None
         };
@@ -375,7 +378,10 @@ impl SimulationBuilder {
             });
         }
 
-        let workload = self.workload.materialize();
+        let workload = self
+            .workload
+            .try_materialize()
+            .map_err(BuildError::Workload)?;
         if let Err(vm) = workload.validate_fits(&self.cfg.topology) {
             return Err(BuildError::OversizedVm {
                 id: vm.id.0,

@@ -46,7 +46,7 @@ pub use config::{LatencyConfig, SimConfig};
 pub use faults::{FaultReport, FaultSpec};
 pub use parallel::{ExecMode, SpeculationReport};
 pub use report::{host_info, peak_rss_bytes, ExperimentReport, RunReport};
-pub use spec::WorkloadSpec;
+pub use spec::{SpecError, WorkloadSpec};
 pub use streaming::ArrivalMode;
 pub use timeline::{Timeline, TimelinePoint};
 pub use world::{DdcWorld, SimEvent, DEFAULT_SCHED_TIMING_BATCH};

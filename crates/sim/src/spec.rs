@@ -3,7 +3,7 @@
 use risa_workload::azure::AzureProcess;
 use risa_workload::{
     AzureShards, AzureSubset, CsvFileShards, ShardSource, SyntheticConfig, SyntheticShards,
-    TraceShards, Workload,
+    TraceFileError, TraceShards, Workload,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -33,6 +33,30 @@ pub enum WorkloadSpec {
     },
 }
 
+/// Why a [`WorkloadSpec`] could not produce its trace: the file named by
+/// a [`WorkloadSpec::TraceCsv`] is missing, unreadable or invalid. The
+/// generator-backed and pre-built specs cannot fail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// Path of the trace file.
+    pub path: String,
+    /// What was wrong with it.
+    pub error: TraceFileError,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.error {
+            // The I/O message already names the file.
+            TraceFileError::Io { .. } => write!(f, "{}", self.error),
+            TraceFileError::Csv(e) => write!(f, "trace file '{}': {e}", self.path),
+            other => write!(f, "trace file '{}': {other}", self.path),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
 impl WorkloadSpec {
     /// Synthetic workload of `n` VMs with paper parameters.
     pub fn synthetic(n: u32, seed: u64) -> Self {
@@ -57,16 +81,34 @@ impl WorkloadSpec {
     /// totals (`risa_workload::shard`). A single big trial therefore uses
     /// every worker, and the result is byte-identical at any thread count
     /// (pinned by `tests/determinism.rs`).
+    ///
+    /// Panics with the [`SpecError`] message if a CSV trace file is
+    /// missing or invalid; use [`WorkloadSpec::try_materialize`] where a
+    /// typed error is preferable.
     pub fn materialize(&self) -> Workload {
+        self.try_materialize().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Like [`WorkloadSpec::materialize`], but a missing or invalid CSV
+    /// trace file surfaces as a typed [`SpecError`].
+    pub fn try_materialize(&self) -> Result<Workload, SpecError> {
         match self {
-            WorkloadSpec::Synthetic(cfg) => Workload::synthetic(cfg),
-            WorkloadSpec::Azure { subset, seed } => Workload::azure(*subset, *seed),
-            WorkloadSpec::Trace(w) => w.clone(),
+            WorkloadSpec::Synthetic(cfg) => Ok(Workload::synthetic(cfg)),
+            WorkloadSpec::Azure { subset, seed } => Ok(Workload::azure(*subset, *seed)),
+            WorkloadSpec::Trace(w) => Ok(w.clone()),
             WorkloadSpec::TraceCsv { name, path } => {
-                let csv = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read trace file '{path}': {e}"));
+                let spec_error = |error| SpecError {
+                    path: path.clone(),
+                    error,
+                };
+                let csv = std::fs::read_to_string(path).map_err(|e| {
+                    spec_error(TraceFileError::Io {
+                        path: path.clone(),
+                        message: e.to_string(),
+                    })
+                })?;
                 risa_workload::csv::from_csv(name, &csv)
-                    .unwrap_or_else(|e| panic!("trace file '{path}': {e}"))
+                    .map_err(|e| spec_error(TraceFileError::Csv(e)))
             }
         }
     }
@@ -80,22 +122,22 @@ impl WorkloadSpec {
     ///
     /// The source yields the *same trace* [`WorkloadSpec::materialize`]
     /// produces, bit-for-bit, so consuming it through a cursor is
-    /// byte-identical to materializing. Panics (loudly, never a silent
-    /// fallback) if a CSV trace file is missing or invalid.
-    pub fn shard_source(&self) -> Option<Arc<dyn ShardSource>> {
-        match self {
-            WorkloadSpec::Synthetic(cfg) => Some(Arc::new(SyntheticShards::new(cfg))),
-            WorkloadSpec::Azure { subset, seed } => Some(Arc::new(AzureShards::new(
-                *subset,
-                *seed,
-                AzureProcess::default(),
-            ))),
-            WorkloadSpec::Trace(w) => Some(Arc::new(TraceShards::new(w.clone()))),
-            WorkloadSpec::TraceCsv { name, path } => Some(Arc::new(
-                CsvFileShards::open(name.clone(), path)
-                    .unwrap_or_else(|e| panic!("trace file '{path}': {e}")),
-            )),
-        }
+    /// byte-identical to materializing. A missing or invalid CSV trace
+    /// file is a typed [`SpecError`], never a silent fallback.
+    pub fn shard_source(&self) -> Result<Arc<dyn ShardSource>, SpecError> {
+        Ok(match self {
+            WorkloadSpec::Synthetic(cfg) => Arc::new(SyntheticShards::new(cfg)),
+            WorkloadSpec::Azure { subset, seed } => {
+                Arc::new(AzureShards::new(*subset, *seed, AzureProcess::default()))
+            }
+            WorkloadSpec::Trace(w) => Arc::new(TraceShards::new(w.clone())),
+            WorkloadSpec::TraceCsv { name, path } => Arc::new(
+                CsvFileShards::open(name.clone(), path).map_err(|error| SpecError {
+                    path: path.clone(),
+                    error,
+                })?,
+            ),
+        })
     }
 }
 
@@ -156,6 +198,36 @@ mod tests {
         assert_eq!(materialized.vms(), w.vms());
         let source = spec.shard_source().expect("CSV traces stream");
         assert_eq!(risa_workload::shard::materialize(&*source), w.vms());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn trace_csv_spec_errors_are_typed() {
+        let missing = WorkloadSpec::TraceCsv {
+            name: "x".into(),
+            path: "/nonexistent/risa/spec.csv".into(),
+        };
+        let err = missing.try_materialize().unwrap_err();
+        assert!(matches!(err.error, TraceFileError::Io { .. }), "{err}");
+        assert!(err
+            .to_string()
+            .starts_with("cannot read trace file '/nonexistent/risa/spec.csv': "));
+        assert!(matches!(
+            missing.shard_source().err().map(|e| e.error),
+            Some(TraceFileError::Io { .. })
+        ));
+
+        let path = std::env::temp_dir().join(format!("risa_spec_bad_{}.csv", std::process::id()));
+        std::fs::write(&path, "not,the,header\n").unwrap();
+        let bad = WorkloadSpec::TraceCsv {
+            name: "bad".into(),
+            path: path.display().to_string(),
+        };
+        let header = TraceFileError::Csv(risa_workload::csv::CsvError::BadHeader);
+        let err = bad.try_materialize().unwrap_err();
+        assert_eq!(err.error, header);
+        assert!(err.to_string().contains("': bad CSV header"), "{err}");
+        assert_eq!(bad.shard_source().err().map(|e| e.error), Some(header));
         std::fs::remove_file(&path).ok();
     }
 

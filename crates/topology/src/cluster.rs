@@ -346,6 +346,14 @@ impl Cluster {
         self.index.rack_admits(rack, kind, units)
     }
 
+    /// Whether any rack holds a live box of `kind` with at least `units`
+    /// free: exactly `(0..racks).any(|r| rack_admits(r, kind, units))`,
+    /// answered from the placement index's segment-tree root. O(1).
+    #[inline]
+    pub fn admits_anywhere(&self, kind: ResourceKind, units: u32) -> bool {
+        self.index.admits_anywhere(kind, units)
+    }
+
     /// True when every per-kind demand fits in *some single live box* of
     /// `rack`.
     pub fn rack_fits(&self, rack: RackId, demand: &UnitDemand) -> bool {

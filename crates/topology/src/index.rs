@@ -173,6 +173,15 @@ impl PlacementIndex {
         self.tree[self.cap + rack.0 as usize][kind.index()] > units
     }
 
+    /// Whether *some* rack holds a live box of `kind` with ≥ `units`
+    /// free, i.e. `rack_admits` holds for at least one rack. Reads the
+    /// segment-tree root, which already folds liveness into the fit key.
+    /// False on an index without racks. O(1).
+    #[inline]
+    pub fn admits_anywhere(&self, kind: ResourceKind, units: u32) -> bool {
+        self.racks > 0 && self.tree[1][kind.index()] > units
+    }
+
     /// Total available units of `kind` in `rack`. O(1).
     #[inline]
     pub fn rack_total(&self, rack: RackId, kind: ResourceKind) -> u64 {
@@ -308,6 +317,18 @@ mod tests {
         assert_eq!(idx.next_pool_rack(&[21, 21, 21], 0), Some(RackId(1)));
         assert_eq!(idx.next_pool_rack(&[21, 31, 21], 0), Some(RackId(2)));
         assert_eq!(idx.next_pool_rack(&[32, 0, 0], 0), None);
+    }
+
+    #[test]
+    fn admits_anywhere_reads_the_root() {
+        let mut idx = sample();
+        assert!(idx.admits_anywhere(ResourceKind::Cpu, 31));
+        assert!(!idx.admits_anywhere(ResourceKind::Cpu, 32));
+        idx.update(RackId(2), ResourceKind::Cpu, BoxId(13), 31, 0);
+        assert!(!idx.admits_anywhere(ResourceKind::Cpu, 31));
+        assert!(idx.admits_anywhere(ResourceKind::Cpu, 30));
+        assert!(!PlacementIndex::default().admits_anywhere(ResourceKind::Cpu, 0));
+        assert!(!PlacementIndex::build(0, std::iter::empty()).admits_anywhere(ResourceKind::Ram, 0));
     }
 
     #[test]

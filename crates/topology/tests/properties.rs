@@ -338,3 +338,67 @@ proptest! {
         c.check_invariants().map_err(TestCaseError::fail)?;
     }
 }
+
+/// Apply one churn op, ignoring typed refusals (the battery above checks
+/// each op's own contract; this only needs reachable states).
+fn apply_churn(c: &mut Cluster, op: &ChurnOp) {
+    let _ = match *op {
+        ChurnOp::Take { box_idx, units } => c.take(BoxId(box_idx as u32), units),
+        ChurnOp::Give { box_idx, units } => c.give(BoxId(box_idx as u32), units),
+        ChurnOp::Remove { box_idx } => c.remove_box(BoxId(box_idx as u32)),
+        ChurnOp::Restore { box_idx } => c.restore_box(BoxId(box_idx as u32)),
+    };
+}
+
+/// `admits_anywhere` equals "some rack admits", and both equal a linear
+/// scan for a live box with enough free units.
+fn assert_admits_anywhere_exact(c: &Cluster, units: u32) -> Result<(), TestCaseError> {
+    for kind in ALL_RESOURCES {
+        let any_rack = (0..c.num_racks()).any(|r| c.rack_admits(RackId(r), kind, units));
+        prop_assert_eq!(
+            c.admits_anywhere(kind, units),
+            any_rack,
+            "admits_anywhere({:?}, {}) diverged from rack_admits",
+            kind,
+            units
+        );
+        prop_assert_eq!(any_rack, next_rack_scan(c, kind, units, 0).is_some());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The O(1) global-feasibility read (RISA's drop exit) is exact under
+    /// take/give/remove/restore interleavings, for zero-unit demands, and
+    /// once every box of the cluster has failed.
+    #[test]
+    fn admits_anywhere_matches_rack_scan(
+        ops in prop::collection::vec(churn_op_strategy(), 1..40),
+        probe in 0u32..=130,
+        fail_all in any::<bool>(),
+    ) {
+        let mut c = Cluster::new(TopologyConfig::paper());
+        for op in &ops {
+            apply_churn(&mut c, op);
+            assert_admits_anywhere_exact(&c, 0)?;
+            assert_admits_anywhere_exact(&c, probe)?;
+        }
+        if fail_all {
+            for b in 0..c.num_boxes() as u32 {
+                let _ = c.remove_box(BoxId(b));
+            }
+            c.check_invariants().map_err(TestCaseError::fail)?;
+            for kind in ALL_RESOURCES {
+                prop_assert!(!c.admits_anywhere(kind, 0), "no live box admits even 0 units");
+            }
+            assert_admits_anywhere_exact(&c, probe)?;
+            for op in &ops {
+                apply_churn(&mut c, op);
+                assert_admits_anywhere_exact(&c, 0)?;
+                assert_admits_anywhere_exact(&c, probe)?;
+            }
+        }
+    }
+}

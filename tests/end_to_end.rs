@@ -2,6 +2,7 @@
 //! scale, determinism, and conservation of resources.
 
 use risa::prelude::*;
+use risa::sched::WorkCounters;
 use risa::sim::experiments;
 use risa::workload::azure::{generate_with, AzureProcess};
 
@@ -208,4 +209,38 @@ fn custom_azure_process_end_to_end() {
     assert_eq!(r.dropped, 0);
     assert_eq!(r.inter_rack_assignments, 0);
     assert!(r.intra_net_utilization > 0.0);
+}
+
+/// RISA's drop/fallback path under saturation, pinned to exact counts.
+/// 40k staircase VMs on the paper cluster drop about two thirds of
+/// arrivals and admit some through the SUPER_RACK fallback, so every
+/// branch of `RisaState::schedule` runs: intra-rack admits, fallback
+/// admits, compute drops and network drops. The constants were captured
+/// from the scan-based SUPER_RACK implementation; any change to that path
+/// must reproduce them, `WorkCounters` included.
+#[test]
+fn saturated_risa_outcomes_are_pinned() {
+    let r = SimulationBuilder::new()
+        .algorithm(Algorithm::Risa)
+        .workload(WorkloadSpec::Synthetic(SyntheticConfig::small(40_000, 7)))
+        .faults_off()
+        .build()
+        .run();
+    assert!(2 * r.dropped > r.total_vms, "the trace must saturate");
+    assert!(r.fallback_assignments > 0, "the fallback must admit");
+    assert_eq!(r.admitted, 12_680);
+    assert_eq!(r.dropped_compute, 27_291);
+    assert_eq!(r.dropped_network, 29);
+    assert_eq!(r.inter_rack_assignments, 3_247);
+    assert_eq!(r.fallback_assignments, 3_247);
+    assert_eq!(
+        r.work,
+        WorkCounters {
+            boxes_scanned: 95_809,
+            racks_scanned: 1_371_207,
+            links_scanned: 56_598,
+            sorts: 0,
+            calls: 40_000,
+        }
+    );
 }
