@@ -40,6 +40,15 @@ fn bad_trace_files_fail_with_one_error_line_in_both_arrival_modes() {
     std::fs::write(&bad, "vm,cores\n0,1\n").unwrap();
     let bad = bad.to_string_lossy().to_string();
     let missing = dir.join("missing.csv").to_string_lossy().to_string();
+    // Ids 0,5: the simulator addresses VMs by row rank, so a gap is
+    // invalid input, not an index past the end of the trace.
+    let sparse = dir.join("sparse-ids.csv");
+    std::fs::write(
+        &sparse,
+        "id,cpu_cores,ram_gb,storage_gb,arrival,lifetime\n0,1,2,128,1.0,10.0\n5,1,2,128,2.0,10.0\n",
+    )
+    .unwrap();
+    let sparse = sparse.to_string_lossy().to_string();
 
     for mode in ["materialized", "streaming"] {
         let env = [("RISA_ARRIVALS", mode)];
@@ -49,6 +58,10 @@ fn bad_trace_files_fail_with_one_error_line_in_both_arrival_modes() {
 
         let out = cli(&["run", "--workload", &missing], &env);
         assert_typed_failure(&out, &missing, &format!("missing file, {mode}"));
+
+        let out = cli(&["run", "--workload", &sparse], &env);
+        assert_typed_failure(&out, &sparse, &format!("sparse ids, {mode}"));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("expected 1, found 5"));
     }
     // `generate` reads the same spec and fails the same way.
     let out = cli(&["generate", "--workload", &bad], &[]);

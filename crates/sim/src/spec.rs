@@ -50,7 +50,6 @@ impl std::fmt::Display for SpecError {
             // The I/O message already names the file.
             TraceFileError::Io { .. } => write!(f, "{}", self.error),
             TraceFileError::Csv(e) => write!(f, "trace file '{}': {e}", self.path),
-            other => write!(f, "trace file '{}': {other}", self.path),
         }
     }
 }

@@ -6,14 +6,20 @@
 //!
 //! * [`StreamingArrivals`] (this module) feeds the event queue's static
 //!   arrival lane through [`risa_des::ArrivalSource`]. It needs only the
-//!   *arrival times*, so it uses the cheap
-//!   [`ShardSource::shard_arrivals`] pass — one `Vec<f64>` shard buffer,
-//!   refilled synchronously (re-deriving the arrivals RNG stream costs
-//!   microseconds per shard).
+//!   *arrival times*, so it uses the cheaper
+//!   [`ShardSource::shard_arrivals`] pass, double-buffered: while the
+//!   queue drains shard *k*'s times, shard *k+1*'s pass runs on the
+//!   resident `rayon` pool. For a generator that pass re-derives one RNG
+//!   stream, but for a CSV trace it re-reads the shard from disk, which
+//!   would otherwise stall the event loop at every shard boundary. Peak
+//!   buffered times ≤ 2 shards of `f64`.
 //! * [`risa_workload::StreamingShards`] (owned by the world) yields the
 //!   full [`risa_workload::VmRequest`]s in the same index order, double-
-//!   buffered: while the engine drains shard *k*, shard *k+1* generates
-//!   on the resident `rayon` pool. Peak buffered VMs ≤ 2 shards.
+//!   buffered the same way. Peak buffered VMs ≤ 2 shards.
+//!
+//! Prefetch only moves *where* a shard's pass runs, never what it
+//! returns; at pool width 1 the task runs inline and both cursors are
+//! exactly sequential.
 //!
 //! The cursors never coordinate, yet always agree: arrivals are delivered
 //! strictly in VM-index order (the stitched trace is sorted and the queue
@@ -25,6 +31,7 @@
 //! (pinned by `tests/hot_path_differential.rs`).
 
 use crate::world::SimEvent;
+use rayon::Task;
 use risa_des::{ArrivalSource, SimTime};
 use risa_workload::ShardSource;
 use std::fmt;
@@ -87,7 +94,8 @@ impl fmt::Display for ArrivalMode {
 
 /// Lazy arrival schedule for the event queue's static lane: yields
 /// `(arrival time, SimEvent::Arrival(idx))` in VM-index order, holding
-/// one shard of arrival *times* at a time (see the [module docs](self)).
+/// the current shard of arrival *times* plus the next one in flight (see
+/// the [module docs](self)).
 pub(crate) struct StreamingArrivals {
     source: Arc<dyn ShardSource>,
     /// Shard-local arrival times of the shard currently being drained.
@@ -98,16 +106,19 @@ pub(crate) struct StreamingArrivals {
     shard_offset: f64,
     /// Running prefix sum: absolute offset of `next_shard`.
     offset: f64,
-    /// Next shard to load.
+    /// The shard the outstanding `prefetch` (or the next swap) loads.
     next_shard: u32,
+    prefetch: Option<Task<(Vec<f64>, f64)>>,
     /// Global index of the next VM arrival to yield.
     next_idx: u32,
     total: u32,
 }
 
 impl StreamingArrivals {
+    /// Start at VM 0 and kick off shard 0's arrival pass.
     pub(crate) fn new(source: Arc<dyn ShardSource>) -> Self {
         let total = source.total_vms();
+        let prefetch = (source.num_shards() > 0).then(|| Self::launch(&source, 0));
         StreamingArrivals {
             source,
             times: Vec::new(),
@@ -115,19 +126,31 @@ impl StreamingArrivals {
             shard_offset: 0.0,
             offset: 0.0,
             next_shard: 0,
+            prefetch,
             next_idx: 0,
             total,
         }
     }
 
-    /// Make `times[pos]` valid, loading the next shard's arrival pass if
-    /// the current one is drained. Returns `false` at end of trace.
+    fn launch(source: &Arc<dyn ShardSource>, shard: u32) -> Task<(Vec<f64>, f64)> {
+        let src = Arc::clone(source);
+        rayon::spawn_task(move || src.shard_arrivals(shard))
+    }
+
+    /// Make `times[pos]` valid, swapping in the prefetched shard (and
+    /// prefetching the one after) if the current one is drained. Returns
+    /// `false` at end of trace.
     fn ensure(&mut self) -> bool {
         while self.pos == self.times.len() {
             if self.next_shard >= self.source.num_shards() {
                 return false;
             }
-            let (times, total) = self.source.shard_arrivals(self.next_shard);
+            // Invariant: `prefetch`, when present, holds `next_shard`.
+            let task = self
+                .prefetch
+                .take()
+                .unwrap_or_else(|| Self::launch(&self.source, self.next_shard));
+            let (times, total) = task.wait();
             debug_assert_eq!(times.len(), self.source.shard_range(self.next_shard).len());
             // The same sequential accumulation as the materialized
             // prefix sum — bit-equal offsets, hence bit-equal times.
@@ -136,6 +159,9 @@ impl StreamingArrivals {
             self.times = times;
             self.pos = 0;
             self.next_shard += 1;
+            if self.next_shard < self.source.num_shards() {
+                self.prefetch = Some(Self::launch(&self.source, self.next_shard));
+            }
         }
         true
     }
@@ -197,24 +223,48 @@ mod tests {
 
     /// The queue-side cursor must emit exactly the `(time, event)` pairs
     /// the materialized path preloads — bit-equal times, same order.
+    /// The CSV spec runs at pool width 1 (prefetch inline) and 2
+    /// (prefetch pooled).
     #[test]
     fn streaming_arrivals_match_materialized_schedule() {
-        for spec in [
-            WorkloadSpec::synthetic(9000, 11), // > 2 shards
-            WorkloadSpec::azure(risa_workload::AzureSubset::N3000, 4),
+        let path = std::env::temp_dir().join(format!(
+            "risa_streaming_arrivals_{}.csv",
+            std::process::id()
+        ));
+        let trace = WorkloadSpec::synthetic(9000, 12).materialize();
+        std::fs::write(&path, risa_workload::csv::to_csv(&trace)).unwrap();
+        let csv = WorkloadSpec::TraceCsv {
+            name: "disk".into(),
+            path: path.display().to_string(),
+        };
+        for (spec, threads) in [
+            (WorkloadSpec::synthetic(9000, 11), None), // > 2 shards
+            (
+                WorkloadSpec::azure(risa_workload::AzureSubset::N3000, 4),
+                None,
+            ),
+            (csv.clone(), Some(1)),
+            (csv, Some(2)),
         ] {
-            let workload = spec.materialize();
-            let expect = crate::world::arrival_events(&workload);
-            let mut cursor = StreamingArrivals::new(spec.shard_source().expect("generator-backed"));
-            assert_eq!(cursor.remaining(), expect.len());
-            let mut got = Vec::new();
-            while let Some(pair) = cursor.next() {
-                got.push(pair);
+            let check = || {
+                let workload = spec.materialize();
+                let expect = crate::world::arrival_events(&workload);
+                let mut cursor = StreamingArrivals::new(spec.shard_source().unwrap());
+                assert_eq!(cursor.remaining(), expect.len());
+                let mut got = Vec::new();
+                while let Some(pair) = cursor.next() {
+                    got.push(pair);
+                }
+                assert_eq!(got, expect);
+                assert_eq!(cursor.remaining(), 0);
+                assert!(cursor.peek_time().is_none());
+            };
+            match threads {
+                Some(n) => rayon::with_num_threads(n, check),
+                None => check(),
             }
-            assert_eq!(got, expect);
-            assert_eq!(cursor.remaining(), 0);
-            assert!(cursor.peek_time().is_none());
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -52,6 +52,17 @@ pub enum CsvError {
         /// 1-based line number of the offending row.
         line: usize,
     },
+    /// VM ids must equal the row's 0-based rank: the simulator addresses
+    /// VMs by arrival index, so a gap or permutation in ids would index
+    /// past the trace (materialized) or diverge from it (streaming).
+    NonDenseId {
+        /// 1-based line number.
+        line: usize,
+        /// Rank the row should have carried.
+        expected: u32,
+        /// Id actually found.
+        found: u32,
+    },
 }
 
 impl std::fmt::Display for CsvError {
@@ -71,6 +82,14 @@ impl std::fmt::Display for CsvError {
             CsvError::NotSorted { line } => {
                 write!(f, "line {line}: arrivals must be non-decreasing")
             }
+            CsvError::NonDenseId {
+                line,
+                expected,
+                found,
+            } => write!(
+                f,
+                "line {line}: VM ids must be dense and in order (expected {expected}, found {found})"
+            ),
         }
     }
 }
@@ -94,45 +113,106 @@ pub fn to_csv(w: &Workload) -> String {
     out
 }
 
+/// Split a data row into exactly six fields without allocating. Five
+/// or seven fields — a trailing comma included — are `BadArity`.
+fn fields(row: &str, line: usize) -> Result<[&str; 6], CsvError> {
+    let mut split = row.split(',');
+    let mut out = [""; 6];
+    for field in &mut out {
+        *field = split.next().ok_or(CsvError::BadArity { line })?;
+    }
+    match split.next() {
+        Some(_) => Err(CsvError::BadArity { line }),
+        None => Ok(out),
+    }
+}
+
+fn num<T: std::str::FromStr>(s: &str, line: usize, column: &'static str) -> Result<T, CsvError> {
+    s.trim()
+        .parse()
+        .map_err(|_| CsvError::BadField { line, column })
+}
+
+/// Times must be finite and non-negative.
+fn check_time(value: f64, line: usize, column: &'static str) -> Result<f64, CsvError> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(value)
+    } else {
+        Err(CsvError::BadValue { line, column })
+    }
+}
+
 /// Parse one data row (no header, already trimmed, non-empty) into a
 /// [`VmRequest`]. `line` is the 1-based line number used in errors.
 ///
 /// Shared by [`from_csv`] and the chunked trace-file reader
 /// ([`crate::CsvFileShards`]), so both paths accept exactly the same
-/// rows. The sorted-arrivals check stays with the callers because it
-/// needs cross-row state.
+/// rows. The cross-row rules live in [`RowSequence`].
 pub(crate) fn parse_row(row: &str, line: usize) -> Result<VmRequest, CsvError> {
-    let fields: Vec<&str> = row.split(',').collect();
-    if fields.len() != 6 {
-        return Err(CsvError::BadArity { line });
-    }
-    fn num<T: std::str::FromStr>(
-        s: &str,
-        line: usize,
-        column: &'static str,
-    ) -> Result<T, CsvError> {
-        s.trim()
-            .parse()
-            .map_err(|_| CsvError::BadField { line, column })
-    }
+    let f = fields(row, line)?;
     let vm = VmRequest {
-        id: VmId(num(fields[0], line, "id")?),
-        cpu_cores: num(fields[1], line, "cpu_cores")?,
-        ram_gb: num(fields[2], line, "ram_gb")?,
-        storage_gb: num(fields[3], line, "storage_gb")?,
-        arrival: num(fields[4], line, "arrival")?,
-        lifetime: num(fields[5], line, "lifetime")?,
+        id: VmId(num(f[0], line, "id")?),
+        cpu_cores: num(f[1], line, "cpu_cores")?,
+        ram_gb: num(f[2], line, "ram_gb")?,
+        storage_gb: num(f[3], line, "storage_gb")?,
+        arrival: num(f[4], line, "arrival")?,
+        lifetime: num(f[5], line, "lifetime")?,
     };
-    for (value, column) in [(vm.arrival, "arrival"), (vm.lifetime, "lifetime")] {
-        if !value.is_finite() || value < 0.0 {
-            return Err(CsvError::BadValue { line, column });
-        }
-    }
+    check_time(vm.arrival, line, "arrival")?;
+    check_time(vm.lifetime, line, "lifetime")?;
     Ok(vm)
 }
 
+/// The arrival column of one data row — the same arity, parse and domain
+/// checks [`parse_row`] applies to that column, and a bit-identical
+/// value, without parsing the other five fields.
+pub(crate) fn parse_arrival(row: &str, line: usize) -> Result<f64, CsvError> {
+    let f = fields(row, line)?;
+    check_time(num(f[4], line, "arrival")?, line, "arrival")
+}
+
+/// The cross-row rules every CSV reader applies, in row order: VM ids
+/// are dense from 0, and arrivals are non-decreasing.
+#[derive(Debug)]
+pub(crate) struct RowSequence {
+    rows: u32,
+    last_arrival: f64,
+}
+
+impl RowSequence {
+    pub(crate) fn new() -> Self {
+        RowSequence {
+            rows: 0,
+            last_arrival: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Accept `vm` as the next row, found on `line`.
+    pub(crate) fn push(&mut self, vm: &VmRequest, line: usize) -> Result<(), CsvError> {
+        if vm.id.0 != self.rows {
+            return Err(CsvError::NonDenseId {
+                line,
+                expected: self.rows,
+                found: vm.id.0,
+            });
+        }
+        if vm.arrival < self.last_arrival {
+            return Err(CsvError::NotSorted { line });
+        }
+        self.last_arrival = vm.arrival;
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Rows accepted so far.
+    pub(crate) fn rows(&self) -> u32 {
+        self.rows
+    }
+}
+
 /// Parse a workload from CSV produced by [`to_csv`] (or hand-written in
-/// the same schema). `name` labels the resulting workload.
+/// the same schema). `name` labels the resulting workload. Rows must be
+/// sorted by arrival and carry the ids `0, 1, 2, …` in row order.
 pub fn from_csv(name: &str, csv: &str) -> Result<Workload, CsvError> {
     let mut lines = csv.lines().enumerate();
     match lines.next() {
@@ -140,7 +220,7 @@ pub fn from_csv(name: &str, csv: &str) -> Result<Workload, CsvError> {
         _ => return Err(CsvError::BadHeader),
     }
     let mut vms: Vec<VmRequest> = Vec::new();
-    let mut last_arrival = f64::NEG_INFINITY;
+    let mut seq = RowSequence::new();
     for (idx, row) in lines {
         let line = idx + 1;
         let row = row.trim();
@@ -148,10 +228,7 @@ pub fn from_csv(name: &str, csv: &str) -> Result<Workload, CsvError> {
             continue;
         }
         let vm = parse_row(row, line)?;
-        if vm.arrival < last_arrival {
-            return Err(CsvError::NotSorted { line });
-        }
-        last_arrival = vm.arrival;
+        seq.push(&vm, line)?;
         vms.push(vm);
     }
     Ok(Workload::from_vms(name, vms))
@@ -229,10 +306,35 @@ mod tests {
 
     #[test]
     fn arity_and_field_errors_carry_line_numbers() {
-        let csv = format!("{HEADER}\n0,1,2,128,0.0,10\n1,2,3\n");
+        for row in [
+            "1,2,3",
+            "1,2,3,128,1.0",
+            "1,2,3,128,1.0,10,7",
+            "1,2,3,128,1.0,10,",
+        ] {
+            let csv = format!("{HEADER}\n0,1,2,128,0.0,10\n{row}\n");
+            assert_eq!(
+                from_csv("x", &csv).unwrap_err(),
+                CsvError::BadArity { line: 3 },
+                "row: {row}"
+            );
+            assert_eq!(parse_row(row, 3), Err(CsvError::BadArity { line: 3 }));
+            assert_eq!(parse_arrival(row, 3), Err(CsvError::BadArity { line: 3 }));
+        }
+        assert_eq!(parse_arrival("1,2,3,128,1.5,10", 2), Ok(1.5));
         assert_eq!(
-            from_csv("x", &csv).unwrap_err(),
-            CsvError::BadArity { line: 3 }
+            parse_arrival("1,2,3,128,soon,10", 2),
+            Err(CsvError::BadField {
+                line: 2,
+                column: "arrival"
+            })
+        );
+        assert_eq!(
+            parse_arrival("1,2,3,128,-1,10", 2),
+            Err(CsvError::BadValue {
+                line: 2,
+                column: "arrival"
+            })
         );
 
         let csv = format!("{HEADER}\n0,one,2,128,0.0,10\n");
@@ -243,6 +345,21 @@ mod tests {
                 column: "cpu_cores"
             }
         );
+    }
+
+    #[test]
+    fn non_dense_ids_rejected() {
+        let csv = format!("{HEADER}\n0,1,2,128,1.0,10\n5,1,2,128,2.0,10\n");
+        let err = from_csv("x", &csv).unwrap_err();
+        assert_eq!(
+            err,
+            CsvError::NonDenseId {
+                line: 3,
+                expected: 1,
+                found: 5
+            }
+        );
+        assert!(err.to_string().contains("expected 1, found 5"), "{err}");
     }
 
     #[test]

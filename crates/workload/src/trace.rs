@@ -11,7 +11,10 @@
 //! * [`CsvFileShards`] is the chunked trace-file reader: one validating
 //!   scan at open records the byte offset of each shard's first row, and
 //!   each `shard_vms` call re-reads only that shard's rows — so a run
-//!   over an on-disk CSV holds at most two shards of VMs in memory.
+//!   over an on-disk CSV holds at most two shards of VMs in memory. Its
+//!   `shard_arrivals` re-reads the same rows but parses only the arrival
+//!   column, so the arrival cursor of a streaming run does not pay for
+//!   the five fields it never uses.
 //!
 //! ## The zero-delta stitching trick
 //!
@@ -28,7 +31,7 @@
 //! adapters override [`ShardSource::span_units`] with the true last
 //! arrival.
 
-use crate::csv::{parse_row, CsvError, HEADER};
+use crate::csv::{parse_arrival, parse_row, CsvError, RowSequence, HEADER};
 use crate::shard::{ShardSource, SHARD_SIZE};
 use crate::vm::{VmRequest, Workload};
 use std::fs::File;
@@ -100,17 +103,6 @@ pub enum TraceFileError {
     },
     /// A row failed CSV validation (same rules as [`crate::csv::from_csv`]).
     Csv(CsvError),
-    /// VM ids must equal the row's 0-based rank: the streaming arrival
-    /// pipeline addresses VMs by arrival index, so a gap or permutation in
-    /// ids would silently diverge from the materialized path.
-    NonDenseId {
-        /// 1-based line number.
-        line: usize,
-        /// Rank the row should have carried.
-        expected: u32,
-        /// Id actually found.
-        found: u32,
-    },
 }
 
 impl std::fmt::Display for TraceFileError {
@@ -120,14 +112,6 @@ impl std::fmt::Display for TraceFileError {
                 write!(f, "cannot read trace file '{path}': {message}")
             }
             TraceFileError::Csv(e) => write!(f, "trace file: {e}"),
-            TraceFileError::NonDenseId {
-                line,
-                expected,
-                found,
-            } => write!(
-                f,
-                "line {line}: VM ids must be dense and in order (expected {expected}, found {found})"
-            ),
         }
     }
 }
@@ -144,13 +128,17 @@ impl From<CsvError> for TraceFileError {
 /// the whole trace in memory.
 ///
 /// [`CsvFileShards::open`] makes one streaming pass over the file that
-/// validates every row (header, arity, field domains, sorted and dense
-/// ids — the exact [`crate::csv::from_csv`] rules plus density) and
+/// validates every row (header, arity, field domains, sorted arrivals
+/// and dense ids — the exact [`crate::csv::from_csv`] rules) and
 /// records, per [`SHARD_SIZE`] rows, the byte offset of the shard's first
 /// row. Each [`ShardSource::shard_vms`] call then reopens the file, seeks
-/// to the shard's offset and parses only its rows. The file must not be
-/// modified between `open` and the run — `shard_vms` panics (loudly, with
-/// the offending line) if a previously-valid row stops parsing.
+/// to the shard's offset and parses only its rows.
+/// [`ShardSource::shard_arrivals`] reads the same rows but parses only
+/// the arrival column (with that column's arity, parse and domain
+/// checks), so its times are bit-identical to `shard_vms`'s. The file
+/// must not be modified between `open` and the run — both passes panic
+/// (loudly, with the offending row) if a previously-valid row stops
+/// parsing.
 #[derive(Debug, Clone)]
 pub struct CsvFileShards {
     path: PathBuf,
@@ -183,9 +171,8 @@ impl CsvFileShards {
         pos += n as u64;
 
         let mut offsets = Vec::new();
-        let mut total: u32 = 0;
+        let mut seq = RowSequence::new();
         let mut span = 0.0f64;
-        let mut last_arrival = f64::NEG_INFINITY;
         loop {
             buf.clear();
             let n = reader.read_line(&mut buf).map_err(io_err)?;
@@ -200,28 +187,17 @@ impl CsvFileShards {
                 continue;
             }
             let vm = parse_row(row, line)?;
-            if vm.id.0 != total {
-                return Err(TraceFileError::NonDenseId {
-                    line,
-                    expected: total,
-                    found: vm.id.0,
-                });
-            }
-            if vm.arrival < last_arrival {
-                return Err(CsvError::NotSorted { line }.into());
-            }
-            last_arrival = vm.arrival;
-            if total.is_multiple_of(SHARD_SIZE) {
+            if seq.rows().is_multiple_of(SHARD_SIZE) {
                 offsets.push(row_start);
             }
-            total += 1;
+            seq.push(&vm, line)?;
             span = vm.arrival;
         }
         Ok(CsvFileShards {
             path,
             name: name.into(),
             offsets,
-            total,
+            total: seq.rows(),
             span,
         })
     }
@@ -229,6 +205,48 @@ impl CsvFileShards {
     /// Path of the backing file.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Re-read shard `shard`'s rows from disk, turning each into a `T`
+    /// with `parse`.
+    fn read_shard<T>(&self, shard: u32, parse: fn(&str, usize) -> Result<T, CsvError>) -> Vec<T> {
+        let want = self.shard_range(shard).len();
+        let mut reader = BufReader::new(File::open(&self.path).unwrap_or_else(|e| {
+            panic!(
+                "trace file '{}' unreadable after open(): {e}",
+                self.path.display()
+            )
+        }));
+        reader
+            .seek(SeekFrom::Start(self.offsets[shard as usize]))
+            .unwrap_or_else(|e| panic!("seek in trace file '{}': {e}", self.path.display()));
+        let mut out = Vec::with_capacity(want);
+        let mut buf = String::new();
+        while out.len() < want {
+            buf.clear();
+            let n = reader
+                .read_line(&mut buf)
+                .unwrap_or_else(|e| panic!("read from trace file '{}': {e}", self.path.display()));
+            assert!(
+                n > 0,
+                "trace file '{}' truncated since open(): shard {shard} ended after {} of {want} rows",
+                self.path.display(),
+                out.len()
+            );
+            let row = buf.trim();
+            if row.is_empty() {
+                continue;
+            }
+            // Line numbers are unknown on the re-read path; report the
+            // shard-relative row instead.
+            out.push(parse(row, out.len() + 1).unwrap_or_else(|e| {
+                panic!(
+                    "trace file '{}' changed since open(): shard {shard}, {e}",
+                    self.path.display()
+                )
+            }));
+        }
+        out
     }
 }
 
@@ -242,46 +260,12 @@ impl ShardSource for CsvFileShards {
     }
 
     fn shard_vms(&self, shard: u32) -> (Vec<VmRequest>, f64) {
-        let range = self.shard_range(shard);
-        let want = range.len();
-        let mut reader = BufReader::new(File::open(&self.path).unwrap_or_else(|e| {
-            panic!(
-                "trace file '{}' unreadable after open(): {e}",
-                self.path.display()
-            )
-        }));
-        reader
-            .seek(SeekFrom::Start(self.offsets[shard as usize]))
-            .unwrap_or_else(|e| panic!("seek in trace file '{}': {e}", self.path.display()));
-        let mut vms = Vec::with_capacity(want);
-        let mut buf = String::new();
-        while vms.len() < want {
-            buf.clear();
-            let n = reader
-                .read_line(&mut buf)
-                .unwrap_or_else(|e| panic!("read from trace file '{}': {e}", self.path.display()));
-            assert!(
-                n > 0,
-                "trace file '{}' truncated since open(): shard {shard} ended after {} of {want} rows",
-                self.path.display(),
-                vms.len()
-            );
-            let row = buf.trim();
-            if row.is_empty() {
-                continue;
-            }
-            // Line numbers are unknown on the re-read path; report the
-            // shard-relative row instead.
-            let vm = parse_row(row, vms.len() + 1).unwrap_or_else(|e| {
-                panic!(
-                    "trace file '{}' changed since open(): shard {shard}, {e}",
-                    self.path.display()
-                )
-            });
-            vms.push(vm);
-        }
         // Absolute arrivals, zero delta total (see module docs).
-        (vms, 0.0)
+        (self.read_shard(shard, parse_row), 0.0)
+    }
+
+    fn shard_arrivals(&self, shard: u32) -> (Vec<f64>, f64) {
+        (self.read_shard(shard, parse_arrival), 0.0)
     }
 
     fn span_units(&self) -> f64 {
@@ -353,7 +337,21 @@ mod tests {
         assert_eq!(materialize(&shards), w.vms());
         let streamed: Vec<VmRequest> = StreamingShards::new(Arc::new(shards.clone())).collect();
         assert_eq!(streamed, *w.vms());
+        assert_arrivals_pass_matches(&shards);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `shard_arrivals` must be bit-equal to `shard_vms`'s arrival column
+    /// on every shard, the ragged tail included.
+    fn assert_arrivals_pass_matches(shards: &CsvFileShards) {
+        for s in 0..shards.num_shards() {
+            let (vms, vm_total) = shards.shard_vms(s);
+            let (times, total) = shards.shard_arrivals(s);
+            let column: Vec<u64> = vms.iter().map(|vm| vm.arrival.to_bits()).collect();
+            let times: Vec<u64> = times.iter().map(|t| t.to_bits()).collect();
+            assert_eq!(times, column, "shard {s}");
+            assert_eq!(total.to_bits(), vm_total.to_bits(), "shard {s}");
+        }
     }
 
     #[test]
@@ -362,6 +360,24 @@ mod tests {
         let shards = CsvFileShards::open("blanky", &path).unwrap();
         assert_eq!(shards.total_vms(), 1);
         assert_eq!(shards.shard_vms(0).0.len(), 1);
+        assert_arrivals_pass_matches(&shards);
+        std::fs::remove_file(&path).ok();
+
+        // Blank lines inside and at the edges of shards.
+        let w = sample_workload(SHARD_SIZE + 10);
+        let mut text = String::new();
+        for (i, line) in to_csv(&w).lines().enumerate() {
+            text.push_str(line);
+            text.push('\n');
+            if i % 1000 == 0 || i == SHARD_SIZE as usize {
+                text.push_str("  \n");
+            }
+        }
+        let path = temp_csv("blanks_sharded", &text);
+        let shards = CsvFileShards::open("blanky", &path).unwrap();
+        assert_eq!(shards.num_shards(), 2);
+        assert_eq!(materialize(&shards), w.vms());
+        assert_arrivals_pass_matches(&shards);
         std::fs::remove_file(&path).ok();
 
         let path = temp_csv("empty", &format!("{HEADER}\n"));
@@ -401,11 +417,11 @@ mod tests {
         );
         assert_eq!(
             CsvFileShards::open("x", &path).unwrap_err(),
-            TraceFileError::NonDenseId {
+            TraceFileError::Csv(CsvError::NonDenseId {
                 line: 3,
                 expected: 1,
                 found: 5
-            }
+            })
         );
         std::fs::remove_file(&path).ok();
     }

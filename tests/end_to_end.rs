@@ -92,6 +92,45 @@ fn determinism_across_runs() {
     assert_eq!(a, b);
 }
 
+/// A CSV trace file reads to the same report through the materialized
+/// parse and the chunked streaming reader. The file spans more than two
+/// shards, ends in a ragged one, and carries blank lines.
+#[test]
+fn csv_trace_streams_to_the_materialized_report() {
+    use risa::sim::ArrivalMode;
+    let w = Workload::synthetic(&SyntheticConfig::small(9000, 31));
+    let mut text = String::new();
+    for (i, line) in risa::workload::csv::to_csv(&w).lines().enumerate() {
+        text.push_str(line);
+        text.push('\n');
+        if i % 2500 == 0 {
+            text.push('\n');
+        }
+    }
+    let path = std::env::temp_dir().join(format!("risa_e2e_stream_{}.csv", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let spec = WorkloadSpec::TraceCsv {
+        name: "disk".into(),
+        path: path.display().to_string(),
+    };
+    let [mut materialized, mut streamed] =
+        [ArrivalMode::Materialized, ArrivalMode::Streaming].map(|mode| {
+            let mut sim = SimulationBuilder::new()
+                .algorithm(Algorithm::Risa)
+                .workload(spec.clone())
+                .arrivals(mode)
+                .build();
+            assert_eq!(sim.arrival_mode(), mode);
+            sim.run()
+        });
+    std::fs::remove_file(&path).ok();
+    assert_eq!(materialized.total_vms, 9000);
+    assert!(materialized.admitted > 0);
+    materialized.sched_seconds = 0.0;
+    streamed.sched_seconds = 0.0;
+    assert_eq!(materialized, streamed);
+}
+
 /// Drop accounting always balances: admitted + dropped == total.
 #[test]
 fn drop_accounting_balances_under_overload() {
