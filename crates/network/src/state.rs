@@ -97,7 +97,9 @@ impl std::error::Error for NetError {}
 /// The mutable network: one trunk per box and one per rack, plus an
 /// incrementally-maintained ordering of racks by free uplink bandwidth —
 /// the structure that lets NALB's "modified BFS" read its neighbour order
-/// instead of re-sorting every rack per probe.
+/// instead of re-sorting every rack per probe — and running per-layer
+/// reserved totals, so the per-event utilization samples read two fields
+/// instead of summing every trunk.
 #[derive(Debug, Clone)]
 pub struct NetworkState {
     cfg: NetworkConfig,
@@ -106,6 +108,12 @@ pub struct NetworkState {
     /// `(free_mbps, Reverse(rack))` ascending, so reverse iteration yields
     /// NALB's neighbour order: descending bandwidth, ties to the lower id.
     rack_bw: BTreeSet<(u64, Reverse<u16>)>,
+    /// Σ [`Trunk::used_mbps`] over the box trunks, moved only by
+    /// [`NetworkState::trunk_take`] / [`NetworkState::trunk_give`] (link
+    /// faults strand free bandwidth but never move the reserved ledger).
+    intra_used: u64,
+    /// Σ [`Trunk::used_mbps`] over the rack trunks (same funnels).
+    inter_used: u64,
 }
 
 impl NetworkState {
@@ -123,6 +131,8 @@ impl NetworkState {
             rack_trunks,
             rack_bw,
             cfg,
+            intra_used: 0,
+            inter_used: 0,
         }
     }
 
@@ -148,11 +158,17 @@ impl NetworkState {
     }
 
     /// Reserve on one link of one trunk, keeping the rack-bandwidth
-    /// ordering coherent. Every mutation funnels through here or
-    /// [`NetworkState::trunk_give`].
+    /// ordering and the per-layer reserved totals coherent. Every ledger
+    /// mutation funnels through here or [`NetworkState::trunk_give`].
     fn trunk_take(&mut self, id: TrunkId, link: usize, mbps: u64) -> bool {
         match id {
-            TrunkId::BoxUplink(b) => self.box_trunks[b as usize].take(link, mbps),
+            TrunkId::BoxUplink(b) => {
+                let taken = self.box_trunks[b as usize].take(link, mbps);
+                if taken {
+                    self.intra_used += mbps;
+                }
+                taken
+            }
             TrunkId::RackUplink(r) => {
                 let trunk = &mut self.rack_trunks[r as usize];
                 let before = trunk.free_mbps();
@@ -161,6 +177,7 @@ impl NetworkState {
                     let after = trunk.free_mbps();
                     self.rack_bw.remove(&(before, Reverse(r)));
                     self.rack_bw.insert((after, Reverse(r)));
+                    self.inter_used += mbps;
                 }
                 taken
             }
@@ -171,22 +188,23 @@ impl NetworkState {
     /// [`NetworkState::trunk_take`]). Over-release propagates as a loud
     /// typed error with the state untouched.
     fn trunk_give(&mut self, id: TrunkId, link: usize, mbps: u64) -> Result<(), NetError> {
+        let err = |error| NetError::Trunk { trunk: id, error };
         match id {
-            TrunkId::BoxUplink(b) => self.box_trunks[b as usize]
-                .give(link, mbps)
-                .map_err(|error| NetError::Trunk { trunk: id, error }),
+            TrunkId::BoxUplink(b) => {
+                self.box_trunks[b as usize].give(link, mbps).map_err(err)?;
+                self.intra_used -= mbps;
+            }
             TrunkId::RackUplink(r) => {
                 let trunk = &mut self.rack_trunks[r as usize];
                 let before = trunk.free_mbps();
-                trunk
-                    .give(link, mbps)
-                    .map_err(|error| NetError::Trunk { trunk: id, error })?;
+                trunk.give(link, mbps).map_err(err)?;
                 let after = trunk.free_mbps();
                 self.rack_bw.remove(&(before, Reverse(r)));
                 self.rack_bw.insert((after, Reverse(r)));
-                Ok(())
+                self.inter_used -= mbps;
             }
         }
+        Ok(())
     }
 
     /// Take one link of one trunk down. New flows stop landing on the
@@ -426,9 +444,10 @@ impl NetworkState {
         self.box_trunks.iter().map(Trunk::capacity_mbps).sum()
     }
 
-    /// Bandwidth currently reserved on the intra-rack layer.
+    /// Bandwidth currently reserved on the intra-rack layer. O(1): a
+    /// running total kept by the ledger funnels.
     pub fn intra_used_mbps(&self) -> u64 {
-        self.box_trunks.iter().map(Trunk::used_mbps).sum()
+        self.intra_used
     }
 
     /// Total capacity of the inter-rack layer (all rack uplink trunks).
@@ -436,9 +455,14 @@ impl NetworkState {
         self.rack_trunks.iter().map(Trunk::capacity_mbps).sum()
     }
 
-    /// Bandwidth currently reserved on the inter-rack layer.
+    /// Bandwidth currently reserved on the inter-rack layer. O(1), like
+    /// [`NetworkState::intra_used_mbps`].
     pub fn inter_used_mbps(&self) -> u64 {
-        self.rack_trunks.iter().map(Trunk::used_mbps).sum()
+        self.inter_used
+    }
+
+    fn layer_used_mbps(trunks: &[Trunk]) -> u64 {
+        trunks.iter().map(Trunk::used_mbps).sum()
     }
 
     /// Free bandwidth trapped behind down links across both layers —
@@ -462,7 +486,9 @@ impl NetworkState {
         self.inter_used_mbps() as f64 / self.inter_capacity_mbps() as f64
     }
 
-    /// Debug invariant: every link's free bandwidth within `[0, capacity]`
+    /// Debug invariant: every link's free bandwidth within `[0, capacity]`,
+    /// every trunk's headroom cache, the rack ordering and the per-layer
+    /// reserved totals agree with a from-scratch recomputation
     /// (guaranteed by construction; kept for the property suite's belt and
     /// braces).
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -495,12 +521,21 @@ impl NetworkState {
         if self.rack_bw != Self::build_rack_bw(&self.rack_trunks) {
             return Err("rack bandwidth ordering stale".into());
         }
+        let intra = Self::layer_used_mbps(&self.box_trunks);
+        let inter = Self::layer_used_mbps(&self.rack_trunks);
+        if (self.intra_used, self.inter_used) != (intra, inter) {
+            return Err(format!(
+                "stale reserved totals: intra {} vs {intra}, inter {} vs {inter}",
+                self.intra_used, self.inter_used
+            ));
+        }
         Ok(())
     }
 }
 
 /// The network serializes as configuration plus trunk ledgers; the
-/// rack-bandwidth ordering is derived state rebuilt on load.
+/// rack-bandwidth ordering and the reserved totals are derived state
+/// rebuilt on load.
 impl Serialize for NetworkState {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![
@@ -519,6 +554,8 @@ impl Deserialize for NetworkState {
         let rack_bw = Self::build_rack_bw(&rack_trunks);
         Ok(NetworkState {
             cfg,
+            intra_used: Self::layer_used_mbps(&box_trunks),
+            inter_used: Self::layer_used_mbps(&rack_trunks),
             box_trunks,
             rack_trunks,
             rack_bw,
@@ -829,6 +866,71 @@ mod tests {
         assert!(!back.trunk(TrunkId::BoxUplink(5)).link_up(1));
         assert_eq!(back.stranded_mbps(), net.stranded_mbps());
         let _ = c;
+    }
+
+    #[test]
+    fn reserved_totals_track_the_ledger_through_faults_and_serde() {
+        let (c, mut net) = setup();
+        let d = FlowDemands {
+            cpu_ram_mbps: 30_000,
+            ram_sto_mbps: 4_000,
+        };
+        // One intra-rack VM and one whose flows cross racks 0 → 1 → 0.
+        let intra = net
+            .alloc_vm(&c, BoxId(0), BoxId(2), BoxId(4), &d, LinkPolicy::FirstFit)
+            .unwrap();
+        let inter = net
+            .alloc_vm(
+                &c,
+                BoxId(1),
+                BoxId(8),
+                BoxId(5),
+                &d,
+                LinkPolicy::MostAvailable,
+            )
+            .unwrap();
+        assert!(inter.is_inter_rack());
+        net.check_invariants().unwrap();
+        assert_eq!(net.intra_used_mbps(), 4 * 34_000);
+        assert_eq!(net.inter_used_mbps(), 2 * 34_000);
+        // Faults strand free bandwidth but leave the reserved totals alone,
+        // including on links that carry live grants.
+        let (box_hop, rack_hop) = (inter.cpu_ram.hops[0], inter.cpu_ram.hops[1]);
+        net.fail_link(box_hop.trunk, box_hop.link).unwrap();
+        net.fail_link(rack_hop.trunk, rack_hop.link).unwrap();
+        net.check_invariants().unwrap();
+        assert_eq!(net.intra_used_mbps(), 4 * 34_000);
+        assert_eq!(net.inter_used_mbps(), 2 * 34_000);
+        // The totals survive a round trip while links are down.
+        let back = NetworkState::from_value(&net.to_value()).unwrap();
+        back.check_invariants().unwrap();
+        assert_eq!(back.intra_used_mbps(), net.intra_used_mbps());
+        assert_eq!(back.inter_used_mbps(), net.inter_used_mbps());
+        // Releasing onto the down links returns the grants to the ledger.
+        net.release_vm(&inter).unwrap();
+        net.check_invariants().unwrap();
+        assert_eq!(net.intra_used_mbps(), 2 * 34_000);
+        assert_eq!(net.inter_used_mbps(), 0);
+        // A refused over-release moves nothing.
+        assert!(net.release_vm(&inter).is_err());
+        net.check_invariants().unwrap();
+        net.restore_link(rack_hop.trunk, rack_hop.link).unwrap();
+        net.restore_link(box_hop.trunk, box_hop.link).unwrap();
+        let again = net
+            .alloc_vm(&c, BoxId(1), BoxId(8), BoxId(5), &d, LinkPolicy::FirstFit)
+            .unwrap();
+        net.check_invariants().unwrap();
+        assert_eq!(net.inter_used_mbps(), 2 * 34_000);
+        net.release_vm(&again).unwrap();
+        net.release_vm(&intra).unwrap();
+        net.check_invariants().unwrap();
+        assert_eq!((net.intra_used_mbps(), net.inter_used_mbps()), (0, 0));
+        // The deserialized copy still holds both VMs and drains to zero too.
+        let mut back = back;
+        back.release_vm(&inter).unwrap();
+        back.release_vm(&intra).unwrap();
+        back.check_invariants().unwrap();
+        assert_eq!((back.intra_used_mbps(), back.inter_used_mbps()), (0, 0));
     }
 
     #[test]

@@ -496,13 +496,30 @@ impl DdcSimulation {
     /// loop in [`crate::checkpoint`]).
     pub(crate) fn finish(&mut self) -> RunReport {
         debug_assert_eq!(self.sim.clamped_schedules(), 0);
-        // Drained queue ⇒ every admitted VM departed and released its
-        // slot (the sparse store's residency-bounded-memory invariant).
-        debug_assert_eq!(
-            self.sim.world().assignments.occupied(),
-            self.sim.world().resident() as usize
-        );
-        debug_assert!(self.sim.world().assignments.all_free());
+        if cfg!(debug_assertions) {
+            let w = self.sim.world();
+            // Drained queue ⇒ every admitted VM departed and released its
+            // slot (the store's residency-bounded-memory invariant) ...
+            assert_eq!(w.assignments.occupied(), w.resident() as usize);
+            assert!(w.assignments.all_free(), "VMs still resident at end of run");
+            // ... and every reserved Mb/s went back to the network, whose
+            // cached totals and headroom agree with its trunk ledgers ...
+            assert_eq!(
+                (w.net.intra_used_mbps(), w.net.inter_used_mbps()),
+                (0, 0),
+                "bandwidth still reserved at end of run"
+            );
+            if let Err(e) = w.net.check_invariants() {
+                panic!("network invariant broken at end of run: {e}");
+            }
+            // ... and every arrival was admitted or dropped exactly once.
+            let c = &w.counters;
+            assert_eq!(
+                c.admitted + c.dropped_compute + c.dropped_network,
+                w.source.total(),
+                "arrival outcomes do not add up to the workload"
+            );
+        }
         self.sim.world_mut().flush_timeline();
         self.sim.world_mut().finish_audit();
         self.report()

@@ -425,6 +425,83 @@ mod tests {
         assert_eq!(finish_report(&mut resumed), baseline);
     }
 
+    /// The per-VM list `list` (`"assignments"`, or `"auditor"` for the
+    /// audit seqs) of a serialized checkpoint's world block, as
+    /// `[idx, value]` pairs.
+    fn world_list<'a>(tree: &'a mut Value, list: &str) -> &'a mut Vec<Value> {
+        let entry = |v: &'a mut Value, key: &str| match v {
+            Value::Map(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            _ => panic!("expected a map around {key:?}"),
+        };
+        match (list, entry(entry(tree, "world"), list)) {
+            ("assignments", Value::Seq(pairs)) => pairs,
+            ("auditor", Value::Seq(parts_and_seqs)) => match &mut parts_and_seqs[1] {
+                Value::Seq(pairs) => pairs,
+                _ => panic!("audit seqs encode as a sequence"),
+            },
+            _ => panic!("unexpected encoding of {list:?}"),
+        }
+    }
+
+    fn pair_idx(pair: &mut Value) -> &mut Value {
+        match pair {
+            Value::Seq(t) => &mut t[0],
+            _ => panic!("per-VM entries encode as [idx, value]"),
+        }
+    }
+
+    /// Resume a checkpoint whose per-VM lists were tampered with: an
+    /// index past the workload, a duplicated index, or an assignment
+    /// count that disagrees with the resident count must each fail with
+    /// a one-line panic naming the problem — on both arrival paths.
+    #[test]
+    fn tampered_per_vm_entries_are_rejected_on_both_arrival_paths() {
+        type Tamper = fn(&mut Vec<Value>);
+        let cases: [(&str, Tamper, &str); 5] = [
+            (
+                "assignments",
+                |l| *pair_idx(&mut l[0]) = Value::Int(400),
+                "checkpoint assignment for VM 400 is outside the 400-VM workload",
+            ),
+            (
+                "assignments",
+                |l| *pair_idx(&mut l[1]) = pair_idx(&mut l[0]).clone(),
+                "appears twice",
+            ),
+            ("assignments", |l| drop(l.pop()), "assignments for"),
+            (
+                "auditor",
+                |l| *pair_idx(&mut l[0]) = Value::Int(1_000_000),
+                "checkpoint audit seq for VM 1000000 is outside the 400-VM workload",
+            ),
+            (
+                "auditor",
+                |l| *pair_idx(&mut l[1]) = pair_idx(&mut l[0]).clone(),
+                "appears twice",
+            ),
+        ];
+        for mode in [ArrivalMode::Materialized, ArrivalMode::Streaming] {
+            let mut run = base().arrivals(mode).build();
+            assert_eq!(run.run_until(3000.0), RunOutcome::HorizonReached);
+            let tree = run.checkpoint().to_value();
+            assert!(world_list(&mut tree.clone(), "assignments").len() >= 2);
+            for (list, tamper, expected) in cases {
+                let mut bad = tree.clone();
+                tamper(world_list(&mut bad, list));
+                let cp = Checkpoint::from_value(&bad).expect("tampering keeps the encoding valid");
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cp.resume()))
+                    .expect_err("a tampered checkpoint must not resume");
+                let msg = err
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| err.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(msg.contains(expected), "{mode:?} {list}: got {msg:?}");
+                assert!(!msg.contains('\n'), "one-line message, got {msg:?}");
+            }
+        }
+    }
+
     #[test]
     fn version_mismatch_is_rejected() {
         let mut run = base().build();

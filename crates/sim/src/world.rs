@@ -18,8 +18,8 @@ use risa_topology::{
 };
 use risa_workload::{StreamingShards, VmRequest, Workload};
 use serde::{Deserialize, Serialize};
-// risa-lint: allow(hash_state) — import feeds PerVmSlots::Sparse only; see the waiver there
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 /// Default scheduler-timing batch: one clock pair per 16 scheduling calls
@@ -255,88 +255,96 @@ impl VmSource {
     }
 }
 
-/// Per-VM slot storage sized to the arrival path: dense `Vec` when the
-/// whole trace is materialized (O(1) indexing, one slot per VM), sparse
-/// map when streaming (live entries bounded by *resident* VMs — a dense
-/// vector over a 10M-VM trace would defeat the bounded-memory run).
-#[derive(Debug, Clone)]
-pub(crate) enum PerVmSlots<T> {
-    Dense(Vec<Option<T>>),
-    // risa-lint: allow(hash_state) — keyed access on the hot path; iterated only for the order-independent all_free/occupied counts
-    Sparse(HashMap<u32, T>),
-}
+/// Fixed multiplicative hasher for `u32` VM-index keys: one multiply by
+/// an odd 64-bit constant (the golden-ratio Fibonacci multiplier). No
+/// per-process random seed and no SipHash — keyed access is the only use
+/// on the hot path, and the odd multiplier is a bijection on the low
+/// bits, so consecutive indices land in distinct buckets. Keys are never
+/// chosen by outside input: they are dense trace indices in
+/// `0..total` (generators number VMs, CSV traces must be dense, and
+/// checkpoint restore rejects anything else), so collision flooding is
+/// not a concern.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct VmIdxHasher(u64);
 
-impl<T: Clone> PerVmSlots<T> {
-    fn dense(n: usize) -> Self {
-        PerVmSlots::Dense(vec![None; n])
+impl Hasher for VmIdxHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    fn sparse() -> Self {
-        // risa-lint: allow(hash_state) — constructor for the waived Sparse variant above
-        PerVmSlots::Sparse(HashMap::new())
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("VmIdxHasher hashes u32 VM indices only");
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// Per-VM slot storage, keyed by VM index and sized by *residency*: an
+/// entry exists only while its VM is admitted and not yet departed, so
+/// memory is bounded by the peak resident count on every arrival path
+/// (never by trace length — a 1M-VM trace with ≤ 2.3k VMs resident holds
+/// ≤ 2.3k entries).
+#[derive(Debug, Clone)]
+pub(crate) struct PerVmSlots<T>(
+    // risa-lint: allow(hash_state) — fixed (seedless) hasher; keyed access only, and the one iteration (occupied_pairs) sorts before anything escapes
+    std::collections::HashMap<u32, T, BuildHasherDefault<VmIdxHasher>>,
+);
+
+impl<T: Clone> PerVmSlots<T> {
+    fn new() -> Self {
+        PerVmSlots(Default::default())
     }
 
     /// Store `value` for VM `idx` (slot must be empty).
     fn insert(&mut self, idx: u32, value: T) {
-        match self {
-            PerVmSlots::Dense(v) => {
-                debug_assert!(v[idx as usize].is_none(), "slot {idx} already occupied");
-                v[idx as usize] = Some(value);
-            }
-            PerVmSlots::Sparse(m) => {
-                let old = m.insert(idx, value);
-                debug_assert!(old.is_none(), "slot {idx} already occupied");
-            }
-        }
+        let old = self.0.insert(idx, value);
+        debug_assert!(old.is_none(), "slot {idx} already occupied");
     }
 
     /// Remove and return VM `idx`'s value, if present.
     fn take(&mut self, idx: u32) -> Option<T> {
-        match self {
-            PerVmSlots::Dense(v) => v[idx as usize].take(),
-            PerVmSlots::Sparse(m) => m.remove(&idx),
-        }
+        self.0.remove(&idx)
     }
 
     /// Borrow VM `idx`'s value, if present.
     fn get(&self, idx: u32) -> Option<&T> {
-        match self {
-            PerVmSlots::Dense(v) => v[idx as usize].as_ref(),
-            PerVmSlots::Sparse(m) => m.get(&idx),
-        }
+        self.0.get(&idx)
     }
 
     /// True when no VM holds a value (end-of-run: everything departed).
     pub(crate) fn all_free(&self) -> bool {
-        match self {
-            PerVmSlots::Dense(v) => v.iter().all(Option::is_none),
-            PerVmSlots::Sparse(m) => m.is_empty(),
-        }
+        self.0.is_empty()
     }
 
     /// Live entries (resident VMs with a value).
     pub(crate) fn occupied(&self) -> usize {
-        match self {
-            PerVmSlots::Dense(v) => v.iter().filter(|s| s.is_some()).count(),
-            PerVmSlots::Sparse(m) => m.len(),
-        }
+        self.0.len()
     }
 
     /// Every occupied `(vm index, value)` pair in ascending index order —
-    /// the canonical (storage-kind-independent) encoding checkpoints use.
-    /// Sorting makes the sparse map's iteration order irrelevant, so the
-    /// serialized bytes are deterministic.
+    /// the canonical encoding checkpoints use. Sorting makes the map's
+    /// iteration order irrelevant, so the serialized bytes are
+    /// deterministic.
     pub(crate) fn occupied_pairs(&self) -> Vec<(u32, T)> {
-        match self {
-            PerVmSlots::Dense(v) => v
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|x| (i as u32, x.clone())))
-                .collect(),
-            PerVmSlots::Sparse(m) => {
-                let mut pairs: Vec<(u32, T)> = m.iter().map(|(&k, v)| (k, v.clone())).collect();
-                pairs.sort_by_key(|&(k, _)| k);
-                pairs
+        let mut pairs: Vec<(u32, T)> = self.0.iter().map(|(&k, v)| (k, v.clone())).collect();
+        pairs.sort_by_key(|&(k, _)| k);
+        pairs
+    }
+
+    /// Fill an empty store from a snapshot's pairs, rejecting indices
+    /// outside the `total`-VM workload and duplicates (a tampered or
+    /// mismatched checkpoint) with a one-line panic.
+    fn restore(&mut self, pairs: Vec<(u32, T)>, total: u32, what: &str) {
+        assert!(self.all_free(), "restore into a used {what} store");
+        for (idx, value) in pairs {
+            if idx >= total {
+                panic!("checkpoint {what} for VM {idx} is outside the {total}-VM workload");
+            }
+            if self.0.insert(idx, value).is_some() {
+                panic!("checkpoint {what} for VM {idx} appears twice");
             }
         }
     }
@@ -576,13 +584,7 @@ pub struct DdcWorld {
 impl DdcWorld {
     /// Build a pristine world for `algorithm` over `workload`.
     pub fn new(cfg: SimConfig, algorithm: Algorithm, workload: Workload) -> Self {
-        let n = workload.len();
-        Self::with_source(
-            cfg,
-            algorithm,
-            VmSource::Materialized(workload),
-            PerVmSlots::dense(n),
-        )
+        Self::with_source(cfg, algorithm, VmSource::Materialized(workload))
     }
 
     /// Build a world consuming VMs lazily from a streaming shard cursor
@@ -592,20 +594,10 @@ impl DdcWorld {
         algorithm: Algorithm,
         cursor: StreamingShards,
     ) -> Self {
-        Self::with_source(
-            cfg,
-            algorithm,
-            VmSource::Streaming(cursor),
-            PerVmSlots::sparse(),
-        )
+        Self::with_source(cfg, algorithm, VmSource::Streaming(cursor))
     }
 
-    fn with_source(
-        cfg: SimConfig,
-        algorithm: Algorithm,
-        source: VmSource,
-        assignments: PerVmSlots<VmAssignment>,
-    ) -> Self {
+    fn with_source(cfg: SimConfig, algorithm: Algorithm, source: VmSource) -> Self {
         let cluster = Cluster::new(cfg.topology);
         let net = NetworkState::new(cfg.network, &cluster);
         let scheduler = Scheduler::new(algorithm, &cluster);
@@ -617,7 +609,7 @@ impl DdcWorld {
             source,
             energy,
             cfg,
-            assignments,
+            assignments: PerVmSlots::new(),
             counters: Counters::default(),
             util: [
                 TimeWeighted::new(0.0, 0.0),
@@ -713,11 +705,7 @@ impl DdcWorld {
     /// ledger; see `risa_sched::audit`). The driver calls
     /// `finish_audit` at end of run and panics on violations.
     pub fn enable_audit(&mut self) {
-        let seqs = match &self.source {
-            VmSource::Materialized(w) => PerVmSlots::dense(w.len()),
-            VmSource::Streaming(_) => PerVmSlots::sparse(),
-        };
-        self.auditor = Some((ScheduleAuditor::new(&self.cluster), seqs));
+        self.auditor = Some((ScheduleAuditor::new(&self.cluster), PerVmSlots::new()));
     }
 
     /// Close the audit; panics with the violation list if the scheduler
@@ -860,8 +848,19 @@ impl DdcWorld {
     /// after restore are bit-identical to the uninterrupted run's. The
     /// caller must have built `self` from the same run configuration the
     /// snapshot was taken under (same workload, algorithm, topology,
-    /// audit/timeline/fault settings).
+    /// audit/timeline/fault settings). Per-VM entries are validated
+    /// against the rebuilt workload: an index past its end, a duplicated
+    /// index, or an assignment count that disagrees with the resident
+    /// count fails with a one-line panic, like the setting checks below.
     pub(crate) fn restore(&mut self, snap: WorldSnapshot) {
+        let total = self.source.total();
+        if snap.assignments.len() != snap.resident as usize {
+            panic!(
+                "checkpoint holds {} assignments for {} resident VMs",
+                snap.assignments.len(),
+                snap.resident
+            );
+        }
         if let VmSource::Streaming(cursor) = &mut self.source {
             for _ in 0..snap.stream_consumed {
                 cursor
@@ -872,10 +871,8 @@ impl DdcWorld {
         self.cluster = snap.cluster;
         self.net = snap.net;
         self.scheduler = snap.scheduler;
-        debug_assert!(self.assignments.all_free(), "restore into a used world");
-        for (idx, a) in snap.assignments {
-            self.assignments.insert(idx, a);
-        }
+        self.assignments
+            .restore(snap.assignments, total, "assignment");
         self.counters = snap.counters;
         self.util = snap.util;
         self.intra_bw = snap.intra_bw;
@@ -890,10 +887,7 @@ impl DdcWorld {
         match (snap.auditor, self.auditor.as_mut()) {
             (Some((parts, seqs)), Some((auditor, slots))) => {
                 *auditor = ScheduleAuditor::from_parts(&self.cluster, parts);
-                debug_assert!(slots.all_free(), "restore into a used audit ledger");
-                for (idx, seq) in seqs {
-                    slots.insert(idx, seq);
-                }
+                slots.restore(seqs, total, "audit seq");
             }
             (None, None) => {}
             _ => panic!("checkpoint audit setting does not match the rebuilt run"),
@@ -1332,8 +1326,8 @@ impl World for DdcWorld {
 /// checkpoint (see `crate::checkpoint`). Cluster, network and scheduler
 /// reuse their existing (validated, derived-state-rebuilding) serde
 /// implementations; per-VM slot stores flatten to sorted pairs so the
-/// encoding is independent of the dense/sparse storage choice; the
-/// latency accumulator travels as raw bits (±∞ empty-state sentinels).
+/// encoding is independent of the map's iteration order; the latency
+/// accumulator travels as raw bits (±∞ empty-state sentinels).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct WorldSnapshot {
     cluster: Cluster,
@@ -1423,20 +1417,63 @@ mod tests {
         assert_eq!(oracle.stream_peak_buffered(), None);
     }
 
-    /// The sparse assignment store never holds more entries than resident
-    /// VMs — the invariant that makes streaming runs bounded-memory.
+    /// The slot store holds exactly the live entries, whatever the key
+    /// range, and its checkpoint encoding comes out ascending however the
+    /// keys went in.
     #[test]
-    fn sparse_slots_track_residency() {
-        let mut slots: PerVmSlots<u8> = PerVmSlots::sparse();
+    fn slots_track_residency() {
+        let mut slots: PerVmSlots<u8> = PerVmSlots::new();
         assert!(slots.all_free());
+        slots.insert(1_000_000, 2); // far beyond any trace-sized allocation
+        slots.insert(700, 3);
         slots.insert(7, 1);
-        slots.insert(1_000_000, 2); // far beyond any dense allocation
-        assert_eq!(slots.occupied(), 2);
+        assert_eq!(slots.occupied(), 3);
         assert_eq!(slots.get(7), Some(&1));
+        assert_eq!(
+            slots.occupied_pairs(),
+            vec![(7, 1), (700, 3), (1_000_000, 2)]
+        );
         assert_eq!(slots.take(1_000_000), Some(2));
         assert_eq!(slots.take(7), Some(1));
+        assert_eq!(slots.take(700), Some(3));
         assert!(slots.all_free());
         assert_eq!(slots.take(7), None);
+    }
+
+    /// A saturating materialized trace: the per-VM stores stay sized by
+    /// peak residency, not by trace length. Catches any return of a
+    /// trace-sized (dense) store.
+    #[test]
+    fn slot_store_capacity_is_bounded_by_residency() {
+        const N: u32 = 40_000;
+        let workload = Workload::synthetic(&SyntheticConfig::small(N, 42));
+        let arrivals = arrival_events(&workload);
+        let mut world = DdcWorld::new(SimConfig::paper(), Algorithm::Risa, workload);
+        world.enable_audit();
+        let mut sim = Simulation::new(world);
+        sim.preload_sorted(arrivals);
+        sim.run_to_completion();
+        let w = sim.world();
+        let peak = w.peak_resident() as usize;
+        // Removal never shrinks a `HashMap`, so end-of-run capacity is the
+        // run's high-water mark.
+        let seqs = &w.auditor.as_ref().expect("audit enabled").1;
+        let capacities = [w.assignments.0.capacity(), seqs.0.capacity()];
+        assert!(
+            w.counters.dropped_compute + w.counters.dropped_network > N / 2,
+            "the trace must saturate the cluster"
+        );
+        assert!(peak > 1_000 && peak < N as usize / 10, "peak {peak}");
+        for cap in capacities {
+            // Power-of-two buckets at 7/8 load, doubled at most once more
+            // when departure tombstones fill the table above half load:
+            // capacity < 4 × peak, an order of magnitude under N.
+            assert!(
+                cap >= peak && cap <= 4 * peak,
+                "capacity {cap}, peak {peak}"
+            );
+        }
+        assert!(w.assignments.all_free());
     }
 
     #[test]
